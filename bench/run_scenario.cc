@@ -4,12 +4,11 @@
  * engine.
  *
  * stdout carries exactly the rendered report table — byte-identical
- * across sweep parallelism levels, and byte-identical to the legacy
- * hard-coded figure binary for the scenarios that port one (pinned by
- * the scenario-goldens CI job). Digests (the scenario's semantic digest
- * plus one result digest per cell) go to stderr and, with
- * --digest-out, to a file the CI job diffs against the checked-in
- * golden.
+ * across sweep parallelism levels and pinned against the goldens in
+ * scenarios/goldens/ by the scenario-goldens CI job. Digests (the
+ * scenario's semantic digest plus one result digest per cell) go to
+ * stderr and, with --digest-out, to a file the CI job diffs against
+ * the checked-in golden.
  *
  * Usage: run_scenario <file.scn> [--digest-out <path>] [--canonical]
  *                     [--trace-dir <dir>]
@@ -36,8 +35,8 @@ namespace {
 
 /**
  * Sweep banner: the title up to the first " — " separator (so the
- * Fig. 6 port shows "[Fig. 6]" progress lines exactly like the legacy
- * binary), the scenario name when there is no title.
+ * Fig. 6 scenario shows "[Fig. 6]" progress lines), the scenario name
+ * when there is no title.
  */
 std::string
 sweepTitle(const workload::Scenario &scenario)

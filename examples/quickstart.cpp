@@ -28,9 +28,6 @@ main()
 
     auto modmConfig =
         baselines::modm(diffusion::sd35Large(), diffusion::sdxl(), params);
-    // Shard cache-retrieval scans across every core; sharding is exact,
-    // so results match the serial default bit-for-bit.
-    modmConfig.retrievalParallelism = 0;
 
     // 2. Workload: a production-like prompt stream with Poisson
     //    arrivals at 8 requests/minute. Each experiment builds its own

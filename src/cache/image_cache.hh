@@ -166,26 +166,6 @@ class ImageCache : public embedding::RowSource
     EvictionPolicy policy() const { return policy_; }
 
     /**
-     * Retrieval scan parallelism, forwarded to the retrieval backend:
-     * 1 (default) = serial, 0 = match the global thread pool. Backends
-     * without a sharded scan ignore it.
-     */
-    void setRetrievalParallelism(std::size_t threads)
-    {
-        index_->setParallelism(threads);
-    }
-
-    /**
-     * Minimum index size before retrieval scans shard (forwarded to
-     * the retrieval backend); lower it to engage sharding on small
-     * caches.
-     */
-    void setRetrievalParallelThreshold(std::size_t rows)
-    {
-        index_->setParallelThreshold(rows);
-    }
-
-    /**
      * Serving load in [0, 1], forwarded to the retrieval backend for
      * load-adaptive search (IVF adaptiveNprobe, HNSW adaptiveEfSearch);
      * exact backends ignore it.

@@ -162,16 +162,6 @@ class LatentCache : public embedding::RowSource
     const NirvanaThresholds &thresholds() const { return thresholds_; }
 
     /**
-     * Retrieval scan parallelism, forwarded to the retrieval backend:
-     * 1 (default) = serial, 0 = match the global thread pool. Backends
-     * without a sharded scan ignore it.
-     */
-    void setRetrievalParallelism(std::size_t threads)
-    {
-        index_->setParallelism(threads);
-    }
-
-    /**
      * Serving load in [0, 1], forwarded to the retrieval backend for
      * load-adaptive search (IVF adaptiveNprobe, HNSW adaptiveEfSearch);
      * exact backends ignore it.

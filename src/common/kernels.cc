@@ -16,8 +16,8 @@ namespace {
 // ---------------------------------------------------------------------
 // Scalar tier: the 4-stripe accumulation written as the naive nested
 // loop. Stripe j collects elements i % 4 == j in i order — the exact
-// sums (and roundings) of every other default tier, so this is the
-// reference the CI kernels job diffs against.
+// sums (and roundings) of the avx2 tier, so this is the reference the
+// CI kernels job diffs against.
 // ---------------------------------------------------------------------
 
 double
@@ -54,52 +54,6 @@ gather8Scalar(const float *q, const float *const *rows, std::size_t n,
         out[r] = dotScalar(q, rows[r], n);
 }
 
-// ---------------------------------------------------------------------
-// Unrolled tier: the PR 5 hot loop (four independent accumulators, one
-// pass). Same stripes, same combine, same remainder as scalar —
-// bit-identical, just friendlier to the scheduler.
-// ---------------------------------------------------------------------
-
-double
-dotUnrolled(const float *a, const float *b, std::size_t n)
-{
-    double acc0 = 0.0;
-    double acc1 = 0.0;
-    double acc2 = 0.0;
-    double acc3 = 0.0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        acc0 += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-        acc1 += static_cast<double>(a[i + 1]) *
-            static_cast<double>(b[i + 1]);
-        acc2 += static_cast<double>(a[i + 2]) *
-            static_cast<double>(b[i + 2]);
-        acc3 += static_cast<double>(a[i + 3]) *
-            static_cast<double>(b[i + 3]);
-    }
-    double acc = (acc0 + acc1) + (acc2 + acc3);
-    for (; i < n; ++i)
-        acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-    return acc;
-}
-
-void
-dot8Unrolled(const float *q, const float *rows, std::size_t stride,
-             const float *next, std::size_t n, double *out)
-{
-    (void)next;
-    for (std::size_t r = 0; r < 8; ++r)
-        out[r] = dotUnrolled(q, rows + r * stride, n);
-}
-
-void
-gather8Unrolled(const float *q, const float *const *rows, std::size_t n,
-                double *out)
-{
-    for (std::size_t r = 0; r < 8; ++r)
-        out[r] = dotUnrolled(q, rows[r], n);
-}
-
 #ifdef MODM_KERNELS_X86
 
 // ---------------------------------------------------------------------
@@ -107,11 +61,11 @@ gather8Unrolled(const float *q, const float *const *rows, std::size_t n,
 // `_mm256_fmadd_pd(cvtps_pd(row), cvtps_pd(query), acc)` performs
 // stripe j's `acc += (double)a * (double)b` with a single rounding
 // (the float product is exact in double), so sums stay bit-identical
-// to the scalar tiers. The speed comes from the 8-row block — the
+// to the scalar tier. The speed comes from the 8-row block — the
 // query converts once per 4 elements instead of once per row — and
 // from prefetching the next block: a 1M x 512 scan streams 2 GB and
 // is bandwidth-bound, so hiding the miss latency beats widening the
-// ALUs (measured 2.3x over the unrolled tier on this class of VM).
+// ALUs (measured 2.3x over a 4-way unrolled scalar loop there).
 // ---------------------------------------------------------------------
 
 __attribute__((target("avx2,fma"))) double
@@ -193,102 +147,6 @@ gather8Avx2(const float *q, const float *const *rows, std::size_t n,
     }
 }
 
-#ifdef MODM_NATIVE
-
-// ---------------------------------------------------------------------
-// AVX-512 tier (MODM_NATIVE builds only; never auto-selected). Each
-// row's __m512d holds TWO interleaved 4-stripe halves — lane layout
-// [s0 s1 s2 s3 | s0' s1' s2' s3'] — reduced as s_j = half0[j] +
-// half1[j], then (s0+s1)+(s2+s3). Splitting each stripe into two
-// sub-chains changes the rounding order, so this tier is ≤1-ulp per
-// element rather than bit-identical; it exists for wide-vector
-// machines where the extra width wins despite that.
-// ---------------------------------------------------------------------
-
-__attribute__((target("avx512f"))) double
-reduce512(__m512d acc)
-{
-    alignas(64) double l[8];
-    _mm512_store_pd(l, acc);
-    const double s0 = l[0] + l[4];
-    const double s1 = l[1] + l[5];
-    const double s2 = l[2] + l[6];
-    const double s3 = l[3] + l[7];
-    return (s0 + s1) + (s2 + s3);
-}
-
-__attribute__((target("avx512f"))) double
-dotAvx512(const float *a, const float *b, std::size_t n)
-{
-    __m512d acc = _mm512_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512d va = _mm512_cvtps_pd(_mm256_loadu_ps(a + i));
-        const __m512d vb = _mm512_cvtps_pd(_mm256_loadu_ps(b + i));
-        acc = _mm512_fmadd_pd(va, vb, acc);
-    }
-    double out = reduce512(acc);
-    for (; i < n; ++i)
-        out += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-    return out;
-}
-
-__attribute__((target("avx512f"))) void
-dot8Avx512(const float *q, const float *rows, std::size_t stride,
-           const float *next, std::size_t n, double *out)
-{
-    __m512d a[8];
-    for (int r = 0; r < 8; ++r)
-        a[r] = _mm512_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512d vq = _mm512_cvtps_pd(_mm256_loadu_ps(q + i));
-        if (next) {
-            _mm_prefetch(reinterpret_cast<const char *>(next + i * 8),
-                         _MM_HINT_T0);
-        }
-        for (int r = 0; r < 8; ++r) {
-            a[r] = _mm512_fmadd_pd(
-                _mm512_cvtps_pd(_mm256_loadu_ps(rows + r * stride + i)),
-                vq, a[r]);
-        }
-    }
-    for (int r = 0; r < 8; ++r) {
-        double acc = reduce512(a[r]);
-        for (std::size_t j = i; j < n; ++j) {
-            acc += static_cast<double>(q[j]) *
-                static_cast<double>(rows[r * stride + j]);
-        }
-        out[r] = acc;
-    }
-}
-
-__attribute__((target("avx512f"))) void
-gather8Avx512(const float *q, const float *const *rows, std::size_t n,
-              double *out)
-{
-    __m512d a[8];
-    for (int r = 0; r < 8; ++r)
-        a[r] = _mm512_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512d vq = _mm512_cvtps_pd(_mm256_loadu_ps(q + i));
-        for (int r = 0; r < 8; ++r) {
-            a[r] = _mm512_fmadd_pd(
-                _mm512_cvtps_pd(_mm256_loadu_ps(rows[r] + i)), vq, a[r]);
-        }
-    }
-    for (int r = 0; r < 8; ++r) {
-        double acc = reduce512(a[r]);
-        for (std::size_t j = i; j < n; ++j) {
-            acc += static_cast<double>(q[j]) *
-                static_cast<double>(rows[r][j]);
-        }
-        out[r] = acc;
-    }
-}
-
-#endif // MODM_NATIVE
 #endif // MODM_KERNELS_X86
 
 // ---------------------------------------------------------------------
@@ -308,49 +166,26 @@ const Ops &
 opsFor(Tier tier)
 {
     static const Ops scalar{dotScalar, dot8Scalar, gather8Scalar};
-    static const Ops unrolled{dotUnrolled, dot8Unrolled,
-                              gather8Unrolled};
 #ifdef MODM_KERNELS_X86
     static const Ops avx2{dotAvx2, dot8Avx2, gather8Avx2};
-#ifdef MODM_NATIVE
-    static const Ops avx512{dotAvx512, dot8Avx512, gather8Avx512};
-#endif
-#endif
-    switch (tier) {
-    case Tier::Scalar:
-        return scalar;
-#ifdef MODM_KERNELS_X86
-    case Tier::Avx2:
+    if (tier == Tier::Avx2)
         return avx2;
-#ifdef MODM_NATIVE
-    case Tier::Avx512:
-        return avx512;
+#else
+    (void)tier;
 #endif
-#endif
-    case Tier::Unrolled:
-    default:
-        return unrolled;
-    }
+    return scalar;
 }
 
 struct State
 {
-    Tier tier = Tier::Unrolled;
+    Tier tier = Tier::Scalar;
     bool fromEnv = false;
 };
 
 Tier
 autoTier()
 {
-#ifdef MODM_KERNELS_X86
-    // AVX-512 is opt-in even when compiled: on the common
-    // downclock-prone parts the avx2 tier measured faster, so wide
-    // vectors are a deliberate MODM_KERNEL=avx512 choice, not a
-    // default.
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-        return Tier::Avx2;
-#endif
-    return Tier::Unrolled;
+    return tierAvailable(Tier::Avx2) ? Tier::Avx2 : Tier::Scalar;
 }
 
 State
@@ -360,8 +195,7 @@ initState()
     s.tier = autoTier();
     if (const char *env = std::getenv("MODM_KERNEL")) {
         bool known = false;
-        for (const Tier t : {Tier::Scalar, Tier::Unrolled, Tier::Avx2,
-                             Tier::Avx512}) {
+        for (const Tier t : {Tier::Scalar, Tier::Avx2}) {
             if (std::strcmp(env, tierName(t)) != 0)
                 continue;
             known = true;
@@ -403,14 +237,10 @@ tierName(Tier tier)
     switch (tier) {
     case Tier::Scalar:
         return "scalar";
-    case Tier::Unrolled:
-        return "unrolled";
     case Tier::Avx2:
         return "avx2";
-    case Tier::Avx512:
-        return "avx512";
     }
-    return "unrolled";
+    return "scalar";
 }
 
 bool
@@ -418,18 +248,11 @@ tierAvailable(Tier tier)
 {
     switch (tier) {
     case Tier::Scalar:
-    case Tier::Unrolled:
         return true;
     case Tier::Avx2:
 #ifdef MODM_KERNELS_X86
         return __builtin_cpu_supports("avx2") &&
             __builtin_cpu_supports("fma");
-#else
-        return false;
-#endif
-    case Tier::Avx512:
-#if defined(MODM_KERNELS_X86) && defined(MODM_NATIVE)
-        return __builtin_cpu_supports("avx512f");
 #else
         return false;
 #endif
@@ -547,8 +370,7 @@ bestBatch(const float *query, const float *rows, std::size_t stride,
         const std::size_t len = std::min(kScoreBlock, count - base);
         dotBatch(query, rows + base * stride, stride, len, n, scores);
         for (std::size_t i = 0; i < len; ++i) {
-            // Strictly greater: earliest slot wins ties, matching the
-            // pre-kernel FlatIndex::scanBest admission.
+            // Strictly greater: earliest slot wins ties.
             if (!any || scores[i] > bestScore) {
                 any = true;
                 bestScore = scores[i];

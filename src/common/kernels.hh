@@ -5,29 +5,25 @@
  * Every VectorIndex backend (Flat scans, IVF centroid assignment and
  * list scans, HNSW neighbor expansion, IVF-PQ ADC table builds) bottoms
  * out in "one query against many rows". This layer centralizes that
- * loop behind a tier picked once at startup via CPUID:
+ * loop behind a tier picked once at startup via CPUID, one per ISA:
  *
- *   scalar    4-stripe double accumulation, naive inner loop
- *   unrolled  the PR 5 4-way unrolled loop (modm::dot)
+ *   scalar    4-stripe double accumulation, portable C++ (the fallback
+ *             on every CPU without AVX2+FMA)
  *   avx2      FMA in double precision, 8 rows per block + software
  *             prefetch of the next block
- *   avx512    8-wide double accumulators (compiled only under the
- *             CMake MODM_NATIVE option)
  *
- * Determinism contract: scalar, unrolled, and avx2 produce BIT-IDENTICAL
- * sums. All three accumulate stripe j = elements i % 4 == j in i order,
- * combine (s0+s1)+(s2+s3), then fold the remainder sequentially. Each
- * float product is exact in double (24+24 < 53 significand bits), so
- * AVX2's fused multiply-add rounds exactly once per element — the same
+ * Determinism contract: scalar and avx2 produce BIT-IDENTICAL sums.
+ * Both accumulate stripe j = elements i % 4 == j in i order, combine
+ * (s0+s1)+(s2+s3), then fold the remainder sequentially. Each float
+ * product is exact in double (24+24 < 53 significand bits), so AVX2's
+ * fused multiply-add rounds exactly once per element — the same
  * rounding the scalar `acc += (double)a*(double)b` performs. Frozen
  * serving digests therefore do not move when dispatch upgrades the
  * tier, and the CI kernels job diffs MODM_KERNEL=scalar against the
- * default byte for byte. The avx512 tier splits each stripe into two
- * sub-chains (lane layout [s0..s3 | s0'..s3']) and is only ≤1-ulp
- * close; it never auto-selects into default builds.
+ * default byte for byte.
  *
- * MODM_KERNEL=scalar|unrolled|avx2|avx512 overrides auto-detection
- * (unavailable tiers fall back to auto with a stderr notice).
+ * MODM_KERNEL=scalar|avx2 overrides auto-detection (an unavailable
+ * tier falls back to auto with a stderr notice).
  */
 
 #ifndef MODM_COMMON_KERNELS_HH
@@ -41,17 +37,15 @@ namespace modm::kernels {
 /** Dispatch tiers, in increasing capability order. */
 enum class Tier : int {
     Scalar = 0,
-    Unrolled = 1,
-    Avx2 = 2,
-    Avx512 = 3,
+    Avx2 = 1,
 };
 
 /** The selected kernel, surfaced in ServingResult / BENCH artifacts. */
 struct KernelInfo
 {
-    Tier tier = Tier::Unrolled;
-    /** Stable lowercase name: "scalar" | "unrolled" | "avx2" | "avx512". */
-    const char *name = "unrolled";
+    Tier tier = Tier::Scalar;
+    /** Stable lowercase name: "scalar" | "avx2". */
+    const char *name = "scalar";
     /** True when MODM_KERNEL forced this tier. */
     bool fromEnv = false;
 };
@@ -105,7 +99,7 @@ struct Scored
 /**
  * Top-k of one query against contiguous rows, by (score desc, slot
  * asc) — the FlatIndex ordering contract. Slots are relative to
- * `rows`; callers scanning a shard add their base offset. Scores come
+ * `rows`; callers scanning a sub-range add its base offset. Scores come
  * from dotBatch blocks, so ties and sums are bit-identical across
  * tiers that share the summation order.
  */
@@ -115,7 +109,7 @@ std::vector<Scored> topKBatch(const float *query, const float *rows,
 
 /**
  * Argmax of one query against contiguous rows; earliest slot wins
- * ties (strictly-greater admission, matching FlatIndex::scanBest).
+ * ties (strictly-greater admission).
  * Returns false when count == 0.
  */
 bool bestBatch(const float *query, const float *rows, std::size_t stride,

@@ -24,11 +24,11 @@ using Vec = std::vector<float>;
 double dot(const Vec &a, const Vec &b);
 
 /**
- * Dot product over raw rows of length n — THE retrieval hot loop,
- * shared by every VectorIndex backend (FlatIndex row scans, IvfIndex
- * centroid assignment and list scans). One definition, inline in the
- * header so each scan loop vectorizes it in context. Speed up here
- * and every backend speeds up together.
+ * Dot product over raw rows of length n, for the vector math outside
+ * retrieval (encoder projections, metrics, Vec overloads). Retrieval
+ * scans do not use it: every VectorIndex backend scores rows through
+ * the dispatched kernels in kernels.hh, which follow the same
+ * summation order, so the two agree bit for bit.
  *
  * The inner loop is a 4-way unrolled multi-accumulator: a single
  * `acc += a[i] * b[i]` chain serializes on the ~4-cycle FP-add

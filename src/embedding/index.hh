@@ -9,14 +9,11 @@
  * brute-force scan is cache-friendly, and supports O(1) removal (swap with
  * the last row) for FIFO/LRU eviction.
  *
- * Scans can shard across ThreadPool::global(): opt in with
- * setParallelism(0) (the default stays serial so existing measurements
- * and single-thread callers are unaffected), and sharding engages once
- * the index is large enough for the fork/join overhead to pay off.
- * Sharding is exact, not approximate: each shard computes the same
- * per-row dot products the serial loop would, and the merge orders by
- * (similarity desc, insertion slot asc) — a total order — so serial and
- * sharded scans return bit-identical results.
+ * Every query is one serial pass of kernels::bestBatch / topKBatch over
+ * all rows, ordered by (similarity desc, insertion slot asc) — a total
+ * order, so results are reproducible from the insertion sequence alone.
+ * Callers that want more throughput run independent queries (sweep
+ * cells, serving nodes) on separate threads instead.
  */
 
 #ifndef MODM_EMBEDDING_INDEX_HH
@@ -39,13 +36,6 @@ namespace modm::embedding {
 class FlatIndex final : public VectorIndex
 {
   public:
-    /**
-     * Indexes smaller than this scan serially regardless of the
-     * parallelism setting; below it the fork/join overhead exceeds the
-     * scan itself.
-     */
-    static constexpr std::size_t kDefaultParallelThreshold = 8192;
-
     /** Create an index for embeddings of the given dimensionality. */
     explicit FlatIndex(std::size_t dim = kEmbeddingDim);
 
@@ -80,32 +70,6 @@ class FlatIndex final : public VectorIndex
     std::vector<Match> topK(const Embedding &query,
                             std::size_t k) const override;
 
-    /**
-     * Set the scan parallelism: 1 (the default) forces serial scans,
-     * 0 shards to match ThreadPool::global(), any other value forces
-     * exactly that many shards (the pool drains them with the threads
-     * it has).
-     */
-    void setParallelism(std::size_t threads) override
-    {
-        parallelism_ = threads;
-    }
-
-    /** Configured parallelism (0 = auto). */
-    std::size_t parallelism() const { return parallelism_; }
-
-    /**
-     * Minimum index size before scans shard; lower it to 0 to force the
-     * sharded path even on tiny indexes (used by the property tests).
-     */
-    void setParallelThreshold(std::size_t rows) override
-    {
-        parallelThreshold_ = rows;
-    }
-
-    /** Active parallel threshold. */
-    std::size_t parallelThreshold() const { return parallelThreshold_; }
-
     /** Remove everything. */
     void clear() override;
 
@@ -120,34 +84,11 @@ class FlatIndex final : public VectorIndex
     }
 
   private:
-    /** Scored slot, the unit the scan and merge operate on. */
-    struct SlotScore
-    {
-        std::size_t slot;
-        double score;
-    };
-
-    /** Shards the next scan will use (1 = serial). */
-    std::size_t scanShards() const;
-
-    /** Best slot in [lo, hi), earliest slot winning ties. */
-    SlotScore scanBest(const float *query, std::size_t lo,
-                       std::size_t hi) const;
-
-    /** Top `keep` slots in [lo, hi) by (score desc, slot asc). */
-    std::vector<SlotScore> scanTop(const float *query, std::size_t lo,
-                                   std::size_t hi, std::size_t keep) const;
-
     std::size_t dim_;
-    std::size_t parallelism_ = 1;
-    std::size_t parallelThreshold_ = kDefaultParallelThreshold;
     AlignedRows rows_;               // slot-addressed, 64-byte aligned
     std::vector<std::uint64_t> ids_;             // slot -> id
     std::unordered_map<std::uint64_t, std::size_t> slotOf_; // id -> slot
 };
-
-/** Historical name of the flat backend, kept for existing callers. */
-using CosineIndex = FlatIndex;
 
 } // namespace modm::embedding
 

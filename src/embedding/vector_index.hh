@@ -8,10 +8,8 @@
  * over the image/latent cache — so the backend is a first-class measured
  * knob rather than an implementation detail. Four backends exist today:
  *
- *  - Flat (FlatIndex, index.hh): exact brute-force scan, optionally
- *    sharded across the thread pool. Bit-for-bit the pre-refactor
- *    CosineIndex behaviour; the default everywhere so existing figures
- *    stay byte-identical.
+ *  - Flat (FlatIndex, index.hh): exact brute-force serial scan; the
+ *    default everywhere, so existing figures stay byte-identical.
  *  - IVF (IvfIndex, ivf_index.hh): inverted-file approximate search
  *    with deterministic seeded k-means coarse clustering and an nprobe
  *    knob. Sub-linear scans at 100k-1M entries at a small recall cost.
@@ -222,19 +220,6 @@ class VectorIndex
     }
 
     /**
-     * Scan parallelism hint: 1 = serial, 0 = match the global thread
-     * pool, N = that many shards. Backends without a sharded scan
-     * ignore it.
-     */
-    virtual void setParallelism(std::size_t threads) { (void)threads; }
-
-    /**
-     * Minimum index size before scans shard (sharded backends only);
-     * lower to 0 to force sharding on tiny indexes (property tests).
-     */
-    virtual void setParallelThreshold(std::size_t rows) { (void)rows; }
-
-    /**
      * Normalized serving load in [0, 1], fed by the monitor each
      * period. Backends with load-adaptive search (IVF with
      * adaptiveNprobe, HNSW with adaptiveEfSearch) shed work as load
@@ -282,7 +267,7 @@ std::string validateRetrievalConfig(const RetrievalBackendConfig &config,
 
 /**
  * Build the configured backend for embeddings of dimension `dim`.
- * Flat ignores every knob except the parallelism hints set later.
+ * Flat ignores every knob.
  * Throws std::invalid_argument with the validateRetrievalConfig
  * message on a malformed config — config files and sweep axes get a
  * diagnostic naming the knob, never a silent clamp or an assert.

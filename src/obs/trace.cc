@@ -13,18 +13,6 @@ namespace {
 
 constexpr char kMagic[4] = {'M', 'T', 'R', 'C'};
 constexpr std::uint64_t kFormatVersion = 1;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-/** FNV-1a over the raw bytes of one little-endian 64-bit value. */
-std::uint64_t
-fnvWord(std::uint64_t hash, std::uint64_t word)
-{
-    for (int i = 0; i < 8; ++i) {
-        hash ^= (word >> (8 * i)) & 0xffu;
-        hash *= kFnvPrime;
-    }
-    return hash;
-}
 
 std::uint64_t
 clockBits(double clock)
@@ -121,11 +109,11 @@ std::uint64_t
 TraceLog::chainHash(std::uint64_t prev, const TraceRecord &record)
 {
     std::uint64_t hash = prev;
-    hash = fnvWord(hash, clockBits(record.clock));
-    hash = fnvWord(hash, record.seq);
-    hash = fnvWord(hash, record.kind);
-    hash = fnvWord(hash, record.node);
-    hash = fnvWord(hash, record.request);
+    hash = fnv1a64Word(clockBits(record.clock), hash);
+    hash = fnv1a64Word(record.seq, hash);
+    hash = fnv1a64Word(record.kind, hash);
+    hash = fnv1a64Word(record.node, hash);
+    hash = fnv1a64Word(record.request, hash);
     return hash;
 }
 

@@ -69,10 +69,6 @@ RequestScheduler::RequestScheduler(const ServingConfig &config)
       case SystemKind::StandaloneSmall:
         break;
     }
-    if (imageCache_)
-        imageCache_->setRetrievalParallelism(config.retrievalParallelism);
-    if (latentCache_)
-        latentCache_->setRetrievalParallelism(config.retrievalParallelism);
 }
 
 ClassifiedJob

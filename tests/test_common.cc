@@ -10,7 +10,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <thread>
+#include <vector>
 
 #include "src/common/matrix.hh"
 #include "src/common/rng.hh"
@@ -386,17 +388,51 @@ TEST(Table, AlignsAndCounts)
 TEST(ThreadPool, ParallelForCoversEveryShardOnce)
 {
     ThreadPool pool(3);
-    std::vector<std::atomic<int>> counts(137);
-    pool.parallelFor(counts.size(), [&](std::size_t shard) {
-        ++counts[shard];
-    });
-    for (const auto &c : counts)
-        EXPECT_EQ(c.load(), 1);
+    for (const std::size_t shards : {std::size_t{0}, std::size_t{1},
+                                     std::size_t{7}, std::size_t{137}}) {
+        std::vector<std::atomic<int>> counts(shards);
+        pool.parallelFor(counts.size(), [&](std::size_t shard) {
+            ++counts[shard];
+        });
+        for (const auto &c : counts)
+            EXPECT_EQ(c.load(), 1) << shards << " shards";
+    }
+}
+
+TEST(ThreadPool, ReusableAcrossJobs)
+{
+    ThreadPool pool(2);
+    for (int round = 0; round < 50; ++round) {
+        std::vector<int> hits(16, 0);
+        pool.parallelFor(16, [&](std::size_t s) { ++hits[s]; });
+        for (std::size_t s = 0; s < 16; ++s)
+            ASSERT_EQ(hits[s], 1);
+    }
+}
+
+TEST(ThreadPool, ConcurrentSubmittersSerialize)
+{
+    // Two threads sharing one pool: submissions must not trample each
+    // other's shard counters (regression for a deadlock where a second
+    // submitter overwrote an in-flight job's state).
+    ThreadPool pool(2);
+    auto hammer = [&pool] {
+        for (int round = 0; round < 200; ++round) {
+            std::vector<int> hits(8, 0);
+            pool.parallelFor(8, [&](std::size_t s) { ++hits[s]; });
+            for (std::size_t s = 0; s < 8; ++s)
+                ASSERT_EQ(hits[s], 1);
+        }
+    };
+    std::thread other(hammer);
+    hammer();
+    other.join();
 }
 
 TEST(ThreadPool, ZeroWorkerPoolRunsInline)
 {
     ThreadPool pool(0);
+    EXPECT_EQ(pool.concurrency(), 1u);
     std::size_t ran = 0;
     pool.parallelFor(10, [&](std::size_t) { ++ran; });
     EXPECT_EQ(ran, 10u);

@@ -3,11 +3,11 @@
  * Property tests for the pluggable retrieval-backend seam
  * (vector_index.hh):
  *
- *  - FlatIndex must be bit-identical with the pre-refactor CosineIndex
- *    scan: an in-test reference reimplements the original semantics
- *    (double-accumulated dots, swap-with-last removal, results ordered
- *    by similarity desc then insertion slot asc) and every FlatIndex
- *    result — serial and sharded — must match it exactly.
+ *  - FlatIndex must be bit-identical with the original flat scan: an
+ *    in-test reference reimplements its semantics (double-accumulated
+ *    dots, swap-with-last removal, results ordered by similarity desc
+ *    then insertion slot asc) and every FlatIndex result must match it
+ *    exactly.
  *  - IvfIndex must be fully deterministic (equal build sequences give
  *    equal centroids and equal query results) and must hold
  *    recall@1 >= 0.95 at the default nprobe on clustered synthetic
@@ -30,7 +30,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -48,12 +47,8 @@
 namespace modm::embedding {
 namespace {
 
-// The historical name must keep compiling against the flat backend.
-static_assert(std::is_same_v<CosineIndex, FlatIndex>,
-              "CosineIndex must alias FlatIndex");
-
 /**
- * Reference reimplementation of the pre-refactor CosineIndex: flat row
+ * Reference reimplementation of the original flat index: flat row
  * storage, swap-with-last removal, serial scan accumulating each dot
  * in double, results ordered by (similarity desc, slot asc). FlatIndex
  * results must match this bit for bit.
@@ -154,7 +149,7 @@ TEST(FlatIndexSeam, BitIdenticalWithPreRefactorReference)
     FlatIndex flat(kDim);
 
     // Interleave inserts and removals so swap-with-last permutes slots
-    // the same way in both; then every scan mode must agree exactly.
+    // the same way in both; then every query must agree exactly.
     std::vector<std::uint64_t> live;
     std::uint64_t nextId = 0;
     for (std::size_t step = 0; step < 4000; ++step) {
@@ -180,23 +175,10 @@ TEST(FlatIndexSeam, BitIdenticalWithPreRefactorReference)
         const auto expected = reference.topK(query, kK);
         const auto expectedBest = reference.best(query);
 
-        flat.setParallelism(1);
-        expectSameMatches(expected, flat.topK(query, kK), "serial topK");
-        EXPECT_EQ(expectedBest.id, flat.best(query).id);
-        EXPECT_EQ(expectedBest.similarity, flat.best(query).similarity);
-
-        flat.setParallelThreshold(0);
-        for (const std::size_t shards :
-             {std::size_t{0}, std::size_t{3}, std::size_t{11}}) {
-            flat.setParallelism(shards);
-            expectSameMatches(expected, flat.topK(query, kK),
-                              "sharded topK");
-            const auto best = flat.best(query);
-            EXPECT_EQ(expectedBest.id, best.id) << shards;
-            EXPECT_EQ(expectedBest.similarity, best.similarity) << shards;
-        }
-        flat.setParallelism(1);
-        flat.setParallelThreshold(FlatIndex::kDefaultParallelThreshold);
+        expectSameMatches(expected, flat.topK(query, kK), "topK");
+        const auto best = flat.best(query);
+        EXPECT_EQ(expectedBest.id, best.id);
+        EXPECT_EQ(expectedBest.similarity, best.similarity);
     }
 }
 

@@ -238,8 +238,8 @@ TEST(ScenarioFiles, EveryCheckedInScenarioIsAFixpoint)
 TEST(ScenarioFiles, PortedFigureDigestsArePinned)
 {
     // Frozen digests of the two figure ports. A change here means the
-    // scenario's meaning changed — the matching golden (and the legacy
-    // byte-identity claim) must be revisited, not just re-pinned.
+    // scenario's meaning changed — the matching golden must be
+    // revisited, not just re-pinned.
     EXPECT_EQ(scenarioDigest(
                   loadScenarioFile(scenarioPath("fig06_hit_rate.scn"))),
               0xea14f86034447e74ULL);
@@ -329,7 +329,8 @@ TEST(ScenarioEquivalence, ServingCellMatchesLegacyPresetRun)
 TEST(ScenarioEquivalence, CacheStreamMatchesInlineFig06Loop)
 {
     // Scaled-down Fig. 6: the scenario executor's streamed-cache loop
-    // against a verbatim transcription of the legacy binary's.
+    // against a verbatim transcription of the original hand-written
+    // Fig. 6 loop.
     const auto scenario = parseOk("scenario fig06_small\n"
                                   "mode cache-stream\n"
                                   "requests 4000\n"

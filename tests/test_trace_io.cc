@@ -3,12 +3,14 @@
  * Unit tests for trace serialization: round-trip exactness (including
  * quoted text with commas/quotes), annotated traces carrying scenario
  * event timelines (faults, mid-trace knob changes), and rejection of
- * malformed input.
+ * malformed input — every numeric field must parse whole and in range,
+ * with the offending line named in the diagnostic.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "src/workload/scenario.hh"
 #include "src/workload/trace_io.hh"
@@ -156,6 +158,68 @@ TEST(TraceIoDeath, RejectsTruncatedRow)
     buffer << "arrival,prompt_id,topic_id,user_id,session_id,text,"
               "visual,lexical\n1.0,2,3\n";
     EXPECT_DEATH(loadTrace(buffer), "malformed trace row");
+}
+
+/** A header plus one row built from the given fields. */
+std::string
+oneRowTrace(const std::string &arrival, const std::string &topic,
+            const std::string &visual)
+{
+    return "arrival,prompt_id,topic_id,user_id,session_id,text,"
+           "visual,lexical\n" +
+        arrival + ",2," + topic + ",4,5,\"x\"," + visual + ",0.5\n";
+}
+
+TEST(TraceIo, StrictParserAcceptsTheWrittenForm)
+{
+    std::stringstream buffer(oneRowTrace("1.5", "4294967295", "0.25;-1e-3"));
+    const auto loaded = loadTrace(buffer);
+    ASSERT_EQ(loaded.size(), 1u);
+    EXPECT_EQ(loaded[0].arrival, 1.5);
+    EXPECT_EQ(loaded[0].prompt.topicId, 4294967295u);
+    EXPECT_EQ(loaded[0].prompt.visualConcept, (Vec{0.25f, -1e-3f}));
+}
+
+TEST(TraceIoDeath, RejectsMalformedNumericFields)
+{
+    // Each field must parse whole and in range; before the strict
+    // parser these read as 1.5, wrapped to topic 1, or escaped as an
+    // uncaught std::invalid_argument.
+    struct Case
+    {
+        const char *arrival;
+        const char *topic;
+        const char *visual;
+        const char *diagnostic;
+    };
+    const Case cases[] = {
+        {"1.5x", "3", "0.5", "trace:2: bad arrival \"1.5x\""},
+        {"abc", "3", "0.5", "trace:2: bad arrival \"abc\""},
+        {"inf", "3", "0.5", "trace:2: bad arrival \"inf\""},
+        {"1.5", "4294967297", "0.5", "trace:2: bad topic_id \"4294967297\""},
+        {"1.5", "-1", "0.5", "trace:2: bad topic_id \"-1\""},
+        {"1.5", "3", "0.5;abc", "trace:2: bad visual \"abc\""},
+        {"1.5", "3", "0.5;1e39", "trace:2: bad visual \"1e39\""},
+    };
+    for (const Case &c : cases) {
+        std::stringstream buffer(oneRowTrace(c.arrival, c.topic, c.visual));
+        EXPECT_DEATH(loadTrace(buffer), c.diagnostic) << c.diagnostic;
+    }
+}
+
+TEST(TraceIoDeath, ReportsTheLineOfTheBadRow)
+{
+    // Line 1 is the header, then an annotation, a good row and a blank
+    // line: the bad row is line 5.
+    std::stringstream buffer;
+    buffer << "arrival,prompt_id,topic_id,user_id,session_id,text,"
+              "visual,lexical\n"
+              "#@ at 10 kill 1\n"
+              "1.0,2,3,4,5,\"x\",0.5,0.5\n"
+              "\n"
+              "2.0,2,3,4,5x,\"x\",0.5,0.5\n";
+    EXPECT_DEATH(loadAnnotatedTrace(buffer),
+                 "trace:5: bad session_id \"5x\"");
 }
 
 } // namespace
