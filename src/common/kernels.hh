@@ -7,20 +7,62 @@
  * out in "one query against many rows". This layer centralizes that
  * loop behind a tier picked once at startup via CPUID, one per ISA:
  *
- *   scalar    4-stripe double accumulation, portable C++ (the fallback
- *             on every CPU without AVX2+FMA)
- *   avx2      FMA in double precision, 8 rows per block + software
- *             prefetch of the next block
+ *   scalar    portable C++ (the fallback on every CPU without
+ *             AVX2+FMA)
+ *   avx2      FMA, 8 rows per block + software prefetch of the next
+ *             block
  *
- * Determinism contract: scalar and avx2 produce BIT-IDENTICAL sums.
- * Both accumulate stripe j = elements i % 4 == j in i order, combine
- * (s0+s1)+(s2+s3), then fold the remainder sequentially. Each float
- * product is exact in double (24+24 < 53 significand bits), so AVX2's
- * fused multiply-add rounds exactly once per element — the same
- * rounding the scalar `acc += (double)a*(double)b` performs. Frozen
- * serving digests therefore do not move when dispatch upgrades the
- * tier, and the CI kernels job diffs MODM_KERNEL=scalar against the
- * default byte for byte.
+ * Two families of entry points share the tiers:
+ *
+ *  - Float rows (dot, dotBatch, dotGather, topKBatch, bestBatch): IVF,
+ *    HNSW and IVF-PQ. Exact double scores.
+ *  - Split rows (bestSplit, topKSplit): FlatIndex. Each float row is
+ *    stored as two 16-bit planes — `hi`, the top half of every float
+ *    (the float truncated to bf16), and `lo`, the bottom half — so
+ *    (hi << 16) | lo is the float, bit for bit, and the planes take
+ *    exactly the float row's bytes. A query first runs a float32
+ *    filter over the hi plane only (half the bytes), then re-scores
+ *    in double every row the filter cannot rule out. See "Two-stage
+ *    exactness" below.
+ *
+ * Determinism contract: scalar and avx2 produce BIT-IDENTICAL double
+ * scores. Both accumulate stripe j = elements i % 4 == j in i order,
+ * combine (s0+s1)+(s2+s3), then fold the remainder sequentially. Each
+ * float product is exact in double (24+24 < 53 significand bits), so
+ * AVX2's fused multiply-add rounds exactly once per element — the
+ * same rounding the scalar `acc += (double)a*(double)b` performs.
+ * Frozen serving digests therefore do not move when dispatch upgrades
+ * the tier, and the CI kernels job diffs MODM_KERNEL=scalar against
+ * the default byte for byte.
+ *
+ * The float32 filter is pinned the same way although nothing depends
+ * on its exact value: 8 lanes, lane k accumulating elements i with
+ * (i % 16) / 2 == k in i order by fused multiply-add (std::fma in the
+ * scalar tier), reduced ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)), then a
+ * sequential fma remainder. Filter scores — and so the set of rows
+ * re-scored — are identical across tiers, which the tests assert.
+ *
+ * Two-stage exactness. Let d_r be row r's double score (what the
+ * float-row kernels return), f_r its filter score, R >= every row's
+ * L2 norm and q the query. Then |f_r - d_r| <= e with
+ *
+ *   e = (2^-7 + g(2^-24) + g(2^-53)) * |q|_2 * R
+ *       + 2^-133 * |q|_1 + n * 2^-146,      g(u) = n*u / (1 - n*u):
+ *
+ * 2^-7 bounds bf16 truncation (|x - hi(x)| <= 2^-7 |x|, plus 2^-133
+ * per subnormal), g(2^-24) the float32 accumulation (at most n
+ * roundings per term) and g(2^-53) the double one, all against
+ * sum |q_i x_i| <= |q|_2 * R; n * 2^-146 covers float underflow. The
+ * winner w has f_w >= d_w - e, and the largest filter score F has
+ * F <= d_w + e, so f_w >= F - 2e: every row with f_r >= F - M,
+ * M = 2e, survives, ties with the winner included. For top-k, F is
+ * the k-th largest filter score (at most k-1 rows can have d > d_k,
+ * so F <= d_k + e). Survivors are re-scored from hi|lo with the double
+ * kernel and admitted with the float-row entry points' tie-breaks, so
+ * the split entry points return the same slots and bit-identical
+ * scores. Queries whose |q|_2 * R exceeds 2^100 (float overflow is
+ * then possible) or is not finite skip the filter and re-score every
+ * row.
  *
  * MODM_KERNEL=scalar|avx2 overrides auto-detection (an unavailable
  * tier falls back to auto with a stderr notice).
@@ -30,6 +72,8 @@
 #define MODM_COMMON_KERNELS_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace modm::kernels {
@@ -115,6 +159,79 @@ std::vector<Scored> topKBatch(const float *query, const float *rows,
 bool bestBatch(const float *query, const float *rows, std::size_t stride,
                std::size_t count, std::size_t n, std::size_t *slot,
                double *score);
+
+/** The top 16 bits of a float: the float truncated to bf16. */
+inline std::uint16_t
+highHalf(float x)
+{
+    std::uint32_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    return static_cast<std::uint16_t>(bits >> 16);
+}
+
+/** The bottom 16 bits of a float. */
+inline std::uint16_t
+lowHalf(float x)
+{
+    std::uint32_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    return static_cast<std::uint16_t>(bits);
+}
+
+/** Rebuild a float from its halves: exact inverse of the split. */
+inline float
+joinHalves(std::uint16_t hi, std::uint16_t lo)
+{
+    const std::uint32_t bits = (static_cast<std::uint32_t>(hi) << 16) | lo;
+    float x;
+    std::memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
+/**
+ * Float rows stored as hi/lo 16-bit planes (FlatIndex's layout): row r
+ * is hi + r * stride and lo + r * stride, `n` elements each.
+ * normBound must be >= every row's L2 norm (computed in double).
+ */
+struct SplitRows
+{
+    const std::uint16_t *hi = nullptr;
+    const std::uint16_t *lo = nullptr;
+    std::size_t stride = 0; // uint16 elements between rows
+    std::size_t count = 0;
+    std::size_t n = 0;
+    double normBound = 0.0;
+};
+
+/**
+ * Float32 filter scores of one query against `count` hi-plane rows
+ * (the pinned 8-lane order above). out[r] receives row r's score.
+ */
+void filterBatch(const float *query, const std::uint16_t *hi,
+                 std::size_t stride, std::size_t count, std::size_t n,
+                 float *out);
+
+/**
+ * The filter margin M = 2e for this query (see the file comment),
+ * rounded up; +infinity when the filter must be skipped.
+ */
+double filterMargin(const float *query, std::size_t n, double normBound);
+
+/**
+ * bestBatch over split rows, in two stages; same slot and bit-identical
+ * score. `rescored`, when given, receives the slots the second stage
+ * scored exactly, in slot order (a test and measurement hook).
+ * Returns false when rows.count == 0.
+ */
+bool bestSplit(const float *query, const SplitRows &rows,
+               std::size_t *slot, double *score,
+               std::vector<std::size_t> *rescored = nullptr);
+
+/** topKBatch over split rows, in two stages; same result. `rescored`
+ *  as for bestSplit. */
+std::vector<Scored> topKSplit(const float *query, const SplitRows &rows,
+                              std::size_t k,
+                              std::vector<std::size_t> *rescored = nullptr);
 
 } // namespace modm::kernels
 

@@ -7,23 +7,27 @@
  * loops — which are memory-bound, not ALU-bound — chased pointers
  * across the heap. Two containers replace that:
  *
- *   AlignedRows  dense slot-addressed storage for index scans: one
- *                buffer, rows at slot * stride, 64-byte aligned, with
- *                swap-remove compaction. This is what dotBatch /
- *                topKBatch stream over.
+ *   AlignedRows<T>  dense slot-addressed storage for index scans: one
+ *                   buffer, rows at slot * stride, 64-byte aligned,
+ *                   with swap-remove compaction. AlignedRows<float>
+ *                   holds the float rows IVF and HNSW stream over with
+ *                   dotBatch / dotGather; FlatIndex keeps two
+ *                   AlignedRows<std::uint16_t> planes (the bf16 high
+ *                   halves it filters on and the low halves it
+ *                   re-scores with — kernels.hh, index.hh).
  *
- *   RowStore     chunked slab with STABLE row pointers plus a LIFO
- *                freelist, for caches: entries hand out `Slot` handles,
- *                eviction releases the slot for the next insert, and
- *                RowSource::row() returns the slab pointer directly
- *                (zero-copy re-rank).
+ *   RowStore        chunked slab with STABLE float-row pointers plus a
+ *                   LIFO freelist, for caches: entries hand out `Slot`
+ *                   handles, eviction releases the slot for the next
+ *                   insert, and RowSource::row() returns the slab
+ *                   pointer directly (zero-copy re-rank).
  *
- * Rows are padded to a 16-float (64-byte) stride so every row starts
- * on a cache line; the pad floats are zeroed once and never read by
- * the kernels (which score exactly `dim` elements), so results are
- * unchanged. At the embedding dims this repo uses (64, 512) the
- * stride equals the dim and the byte accounting is identical to the
- * per-row-vector layout it replaces.
+ * Rows are padded to a 64-byte stride (16 floats, 32 uint16s) so every
+ * row starts on a cache line; the pad elements are zeroed once and
+ * never read by the kernels (which score exactly `dim` elements), so
+ * results are unchanged. At the embedding dims this repo uses (64,
+ * 512) the stride equals the dim and the byte accounting is identical
+ * to the per-row-vector layout it replaces.
  */
 
 #ifndef MODM_COMMON_ROW_STORE_HH
@@ -37,20 +41,25 @@
 
 namespace modm {
 
-/** Round a row length up to a whole number of cache lines. */
+/** Round a row length (in T elements) up to whole cache lines. */
+template <typename T = float>
 constexpr std::size_t
 alignedRowStride(std::size_t dim)
 {
-    return (dim + 15) / 16 * 16;
+    constexpr std::size_t perLine = 64 / sizeof(T);
+    return (dim + perLine - 1) / perLine * perLine;
 }
 
 /**
- * Dense slot-addressed row storage: row r lives at data() + r *
- * stride(). Append with pushBack, compact with swapRemove (the caller
- * owns the slot-to-id mapping, exactly as with the flat vector this
- * replaces). Reallocation moves the buffer, so raw pointers are only
- * stable between mutations — index scans take them fresh per query.
+ * Dense slot-addressed row storage of T elements (float, or uint16_t
+ * for FlatIndex's bf16 planes): row r lives at data() + r * stride().
+ * Append with pushBack (or append, which hands back the zeroed row to
+ * fill in place), compact with swapRemove (the caller owns the
+ * slot-to-id mapping, exactly as with the flat vector this replaces).
+ * Reallocation moves the buffer, so raw pointers are only stable
+ * between mutations — index scans take them fresh per query.
  */
+template <typename T>
 class AlignedRows
 {
   public:
@@ -61,48 +70,52 @@ class AlignedRows
     void reset(std::size_t dim);
 
     std::size_t dim() const { return dim_; }
-    /** Floats between consecutive rows (>= dim, 16-float aligned). */
+    /** Elements between consecutive rows (>= dim, 64-byte aligned). */
     std::size_t stride() const { return stride_; }
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    const float *data() const { return data_.get(); }
-    const float *row(std::size_t slot) const
+    const T *data() const { return data_.get(); }
+    const T *row(std::size_t slot) const
     {
         return data_.get() + slot * stride_;
     }
-    float *row(std::size_t slot) { return data_.get() + slot * stride_; }
+    T *row(std::size_t slot) { return data_.get() + slot * stride_; }
 
     void reserve(std::size_t rows);
+    /** Append an all-zero row (pad included) and return it for the
+     *  caller to fill; its slot is size() - 1. */
+    T *append();
     /** Append a copy of src[0..dim); returns the new row's slot. */
-    std::size_t pushBack(const float *src);
+    std::size_t pushBack(const T *src);
     /** Move the last row into `slot` and shrink by one. */
     void swapRemove(std::size_t slot);
     void clear() { size_ = 0; }
 
-    /** Bytes of row payload (size * stride * 4); no allocator slack,
-     *  so the figure is a pure function of the construction sequence. */
-    std::size_t memoryBytes() const
-    {
-        return size_ * stride_ * sizeof(float);
-    }
+    /** Bytes of row payload (size * stride * sizeof(T)); no allocator
+     *  slack, so the figure is a pure function of the construction
+     *  sequence. */
+    std::size_t memoryBytes() const { return size_ * stride_ * sizeof(T); }
 
   private:
     void grow(std::size_t rows);
 
     struct Free
     {
-        void operator()(float *p) const
+        void operator()(T *p) const
         {
             ::operator delete[](p, std::align_val_t{64});
         }
     };
-    std::unique_ptr<float[], Free> data_;
+    std::unique_ptr<T[], Free> data_;
     std::size_t dim_ = 0;
     std::size_t stride_ = 0;
     std::size_t size_ = 0;
     std::size_t capacity_ = 0;
 };
+
+extern template class AlignedRows<float>;
+extern template class AlignedRows<std::uint16_t>;
 
 /**
  * Chunked slab with stable pointers and freelist reuse. insert()

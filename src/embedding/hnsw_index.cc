@@ -365,7 +365,7 @@ HnswIndex::compact()
     // Rebuild from the live rows in slot order — a pure function of
     // the construction sequence, so two indexes fed equal sequences
     // compact identically. Bounds memory at <= 2x live under churn.
-    AlignedRows oldRows = std::move(rows_);
+    AlignedRows<float> oldRows = std::move(rows_);
     std::vector<Node> oldNodes;
     oldNodes.swap(nodes_);
     rows_.reset(dim_);

@@ -191,7 +191,7 @@ class HnswIndex final : public VectorIndex
     double load_ = 0.0;
     /** 1 / ln(M): the layer distribution's scale. */
     double levelMult_;
-    AlignedRows rows_; // slot-addressed, tombstones keep their row
+    AlignedRows<float> rows_; // slot-addressed, tombstones keep their row
     std::vector<Node> nodes_;
     /** id -> slot, live nodes only. */
     std::unordered_map<std::uint64_t, std::uint32_t> slotOf_;

@@ -1,5 +1,8 @@
 #include "src/embedding/index.hh"
 
+#include <algorithm>
+#include <cmath>
+
 #include "src/common/kernels.hh"
 #include "src/common/log.hh"
 
@@ -9,13 +12,15 @@ FlatIndex::FlatIndex(std::size_t dim)
     : dim_(dim)
 {
     MODM_ASSERT(dim_ > 0, "index dimension must be positive");
-    rows_.reset(dim_);
+    hi_.reset(dim_);
+    lo_.reset(dim_);
 }
 
 void
 FlatIndex::reserve(std::size_t rows)
 {
-    rows_.reserve(rows);
+    hi_.reserve(rows);
+    lo_.reserve(rows);
     ids_.reserve(rows);
     slotOf_.reserve(rows);
 }
@@ -27,9 +32,22 @@ FlatIndex::insert(std::uint64_t id, const Embedding &embedding)
                 "index insert: dimension %zu != %zu", embedding.dim(), dim_);
     MODM_ASSERT(!contains(id), "index insert: duplicate id %llu",
                 static_cast<unsigned long long>(id));
+    const float *x = embedding.vec().data();
+    double sq = 0.0;
+    for (std::size_t i = 0; i < dim_; ++i) {
+        MODM_ASSERT(std::isfinite(x[i]),
+                    "index insert: component %zu is not finite", i);
+        sq += static_cast<double>(x[i]) * static_cast<double>(x[i]);
+    }
+    normBound_ = std::max(normBound_, std::sqrt(sq));
     slotOf_[id] = ids_.size();
     ids_.push_back(id);
-    rows_.pushBack(embedding.vec().data());
+    std::uint16_t *hi = hi_.append();
+    std::uint16_t *lo = lo_.append();
+    for (std::size_t i = 0; i < dim_; ++i) {
+        hi[i] = kernels::highHalf(x[i]);
+        lo[i] = kernels::lowHalf(x[i]);
+    }
 }
 
 bool
@@ -45,7 +63,8 @@ FlatIndex::remove(std::uint64_t id)
         ids_[slot] = ids_[last];
         slotOf_[ids_[slot]] = slot;
     }
-    rows_.swapRemove(slot);
+    hi_.swapRemove(slot);
+    lo_.swapRemove(slot);
     ids_.pop_back();
     slotOf_.erase(it);
     return true;
@@ -64,12 +83,11 @@ FlatIndex::best(const Embedding &query) const
     if (empty())
         return result;
     MODM_ASSERT(query.dim() == dim_, "index query: dimension mismatch");
-    // The batched kernel admits strictly-greater scores in slot order,
-    // so the earliest slot wins ties.
+    // The kernel admits strictly-greater scores in slot order, so the
+    // earliest slot wins ties.
     std::size_t slot = 0;
     double score = 0.0;
-    kernels::bestBatch(query.vec().data(), rows_.row(0), rows_.stride(),
-                       ids_.size(), dim_, &slot, &score);
+    kernels::bestSplit(query.vec().data(), planes(), &slot, &score);
     result.id = ids_[slot];
     result.similarity = score;
     return result;
@@ -82,9 +100,7 @@ FlatIndex::topK(const Embedding &query, std::size_t k) const
     if (empty() || k == 0)
         return result;
     MODM_ASSERT(query.dim() == dim_, "index query: dimension mismatch");
-    const auto top = kernels::topKBatch(query.vec().data(), rows_.row(0),
-                                        rows_.stride(), ids_.size(), dim_,
-                                        k);
+    const auto top = kernels::topKSplit(query.vec().data(), planes(), k);
     result.reserve(top.size());
     for (const auto &entry : top)
         result.push_back({ids_[entry.slot], entry.score});
@@ -94,9 +110,24 @@ FlatIndex::topK(const Embedding &query, std::size_t k) const
 void
 FlatIndex::clear()
 {
-    rows_.clear();
+    hi_.clear();
+    lo_.clear();
+    normBound_ = 0.0;
     ids_.clear();
     slotOf_.clear();
+}
+
+kernels::SplitRows
+FlatIndex::planes() const
+{
+    kernels::SplitRows rows;
+    rows.hi = hi_.data();
+    rows.lo = lo_.data();
+    rows.stride = hi_.stride();
+    rows.count = ids_.size();
+    rows.n = dim_;
+    rows.normBound = normBound_;
+    return rows;
 }
 
 } // namespace modm::embedding

@@ -5,13 +5,21 @@
  *
  * The paper stores 100k image embeddings (~0.29 GB of CLIP vectors) and
  * reports retrieval latency of ~0.05 s — negligible against 10+ s of
- * denoising. This index keeps rows in a contiguous flat array so the
- * brute-force scan is cache-friendly, and supports O(1) removal (swap with
- * the last row) for FIFO/LRU eviction.
+ * denoising. This index keeps rows in contiguous slot-addressed planes so
+ * the brute-force scan is cache-friendly, and supports O(1) removal (swap
+ * with the last row) for FIFO/LRU eviction.
  *
- * Every query is one serial pass of kernels::bestBatch / topKBatch over
- * all rows, ordered by (similarity desc, insertion slot asc) — a total
- * order, so results are reproducible from the insertion sequence alone.
+ * Each float row is stored split in two 16-bit planes: `hi_` holds the
+ * top half of every component (the component truncated to bf16), `lo_`
+ * the bottom half. The planes take exactly the float rows' bytes, and
+ * (hi << 16) | lo is the inserted float bit for bit. Every query is one
+ * serial pass of kernels::bestSplit / topKSplit: a float32 filter over
+ * the hi plane (half the bytes of the float rows), then an exact double
+ * re-score of each row the filter's rigorous margin cannot rule out.
+ * Results are the double scan's — same ids, bit-identical similarities,
+ * ordered by (similarity desc, insertion slot asc), a total order
+ * reproducible from the insertion sequence alone. The margin scales with
+ * `normBound_`, the largest row norm inserted since the last clear().
  * Callers that want more throughput run independent queries (sweep
  * cells, serving nodes) on separate threads instead.
  */
@@ -23,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/kernels.hh"
 #include "src/common/row_store.hh"
 #include "src/embedding/embedding.hh"
 #include "src/embedding/vector_index.hh"
@@ -47,7 +56,8 @@ class FlatIndex final : public VectorIndex
      */
     void reserve(std::size_t rows) override;
 
-    /** Insert an embedding under a fresh id; ids must be unique. */
+    /** Insert an embedding under a fresh id; ids must be unique and
+     *  every component finite (the filter margin assumes it). */
     void insert(std::uint64_t id, const Embedding &embedding) override;
 
     /** Remove an id; returns false when absent. */
@@ -73,9 +83,10 @@ class FlatIndex final : public VectorIndex
     /** Remove everything. */
     void clear() override;
 
-    /** Flat rows + ids + locator payloads; ~4 * dim + 32 per entry.
-     *  Counts dim (not stride) floats per row so the figure is
-     *  unchanged from the pre-slab layout at any dimension. */
+    /** Row planes + ids + locator payloads; ~4 * dim + 32 per entry.
+     *  Counts 4 bytes per component (2 in each plane), dim (not
+     *  stride) per row, so the figure is unchanged from the pre-slab
+     *  float layout at any dimension. */
     std::size_t memoryBytes() const override
     {
         return ids_.size() * dim_ * sizeof(float) +
@@ -84,8 +95,16 @@ class FlatIndex final : public VectorIndex
     }
 
   private:
+    /** The planes as the split-row kernels take them. */
+    kernels::SplitRows planes() const;
+
     std::size_t dim_;
-    AlignedRows rows_;               // slot-addressed, 64-byte aligned
+    AlignedRows<std::uint16_t> hi_; // slot -> bf16 high halves
+    AlignedRows<std::uint16_t> lo_; // slot -> low halves
+    /** >= the L2 norm of every row inserted since clear(); never
+     *  lowered on remove (a stale, larger bound only widens the
+     *  filter margin). */
+    double normBound_ = 0.0;
     std::vector<std::uint64_t> ids_;             // slot -> id
     std::unordered_map<std::uint64_t, std::size_t> slotOf_; // id -> slot
 };

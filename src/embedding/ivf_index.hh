@@ -116,7 +116,7 @@ class IvfIndex final : public VectorIndex
     /** One inverted list: parallel slab rows + ids. */
     struct List
     {
-        AlignedRows rows;              // slot p holds ids[p]'s row
+        AlignedRows<float> rows; // slot p holds ids[p]'s row
         std::vector<std::uint64_t> ids;
     };
 

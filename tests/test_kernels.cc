@@ -12,12 +12,25 @@
  * differently. Everything the batch entry points return —
  * dotBatch, dotGather, topKBatch, bestBatch — must match the
  * single-row kernel exactly, including ordering and tie-break rules.
+ *
+ * The split-row entry points (bestSplit, topKSplit: a bf16 filter
+ * over the hi plane, then an exact re-score) must return exactly what
+ * the double scan of the rebuilt rows returns, under every tier, on
+ * rows built to defeat a filter: near-ties hidden in the lo bits,
+ * score gaps far below the margin, duplicates, zero, non-unit and
+ * subnormal rows, every small count and dim. The filter scores — and
+ * so the rows re-scored — must be identical across tiers, and within
+ * the margin's half of the double score.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "src/common/kernels.hh"
@@ -55,8 +68,11 @@ double
 referenceDot(const float *a, const float *b, std::size_t n)
 {
     double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
+    // The remainder starts at a precomputed index, as in modm::dot:
+    // carried out of the blocked loop, gcc 12 derives a bogus trip
+    // count for it when n is a known constant.
+    const std::size_t blocked = n - n % 4;
+    for (std::size_t i = 0; i < blocked; i += 4) {
         s0 += static_cast<double>(a[i]) * static_cast<double>(b[i]);
         s1 += static_cast<double>(a[i + 1]) *
             static_cast<double>(b[i + 1]);
@@ -66,7 +82,7 @@ referenceDot(const float *a, const float *b, std::size_t n)
             static_cast<double>(b[i + 3]);
     }
     double acc = (s0 + s1) + (s2 + s3);
-    for (; i < n; ++i)
+    for (std::size_t i = blocked; i < n; ++i)
         acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
     return acc;
 }
@@ -143,7 +159,7 @@ TEST(Kernels, BatchEntryPointsMatchSingleRowDot)
     constexpr std::size_t kDim = 513; // stride 528: pad in play
     constexpr std::size_t kRows = 71;
     Rng rng(7);
-    AlignedRows rows(kDim);
+    AlignedRows<float> rows(kDim);
     rows.reserve(kRows);
     for (std::size_t r = 0; r < kRows; ++r)
         rows.pushBack(randomUnitVec(kDim, rng).data());
@@ -205,7 +221,7 @@ TEST(Kernels, TiersAgreeBitForBitOnBatches)
     constexpr std::size_t kDim = 512;
     constexpr std::size_t kRows = 200;
     Rng rng(31);
-    AlignedRows rows(kDim);
+    AlignedRows<float> rows(kDim);
     rows.reserve(kRows);
     for (std::size_t r = 0; r < kRows; ++r)
         rows.pushBack(randomUnitVec(kDim, rng).data());
@@ -235,7 +251,7 @@ TEST(Kernels, BestBatchBreaksExactTiesTowardTheEarliestSlot)
     Rng rng(5);
     const Vec winner = randomUnitVec(kDim, rng);
     const Vec filler = randomUnitVec(kDim, rng);
-    AlignedRows rows(kDim);
+    AlignedRows<float> rows(kDim);
     // Identical best rows at slots 1 and 3: slot 1 must win in every
     // tier (strictly-greater admission).
     rows.pushBack(filler.data());
@@ -257,6 +273,303 @@ TEST(Kernels, BestBatchBreaksExactTiesTowardTheEarliestSlot)
     }
 }
 
+/** Rows split into hi/lo planes, plus the float rows they rebuild. */
+class SplitSlab
+{
+  public:
+    explicit SplitSlab(std::size_t n) : n_(n), hi_(n), lo_(n) {}
+
+    void push(const float *x)
+    {
+        std::uint16_t *hi = hi_.append();
+        std::uint16_t *lo = lo_.append();
+        double sq = 0.0;
+        for (std::size_t i = 0; i < n_; ++i) {
+            hi[i] = highHalf(x[i]);
+            lo[i] = lowHalf(x[i]);
+            sq += static_cast<double>(x[i]) * static_cast<double>(x[i]);
+        }
+        normBound_ = std::max(normBound_, std::sqrt(sq));
+        flat_.insert(flat_.end(), x, x + n_);
+    }
+
+    void push(const Vec &x) { push(x.data()); }
+
+    std::size_t size() const { return hi_.size(); }
+    const float *row(std::size_t r) const { return &flat_[r * n_]; }
+    const std::uint16_t *hi() const { return hi_.data(); }
+    std::size_t stride() const { return hi_.stride(); }
+
+    /** The planes with this slab's norm bound, or a larger one. */
+    SplitRows rows(double normBound = 0.0) const
+    {
+        SplitRows rows;
+        rows.hi = hi_.data();
+        rows.lo = lo_.data();
+        rows.stride = hi_.stride();
+        rows.count = hi_.size();
+        rows.n = n_;
+        rows.normBound = std::max(normBound, normBound_);
+        return rows;
+    }
+
+  private:
+    std::size_t n_;
+    AlignedRows<std::uint16_t> hi_;
+    AlignedRows<std::uint16_t> lo_;
+    std::vector<float> flat_;
+    double normBound_ = 0.0;
+};
+
+/** The double scan the split entry points must reproduce exactly:
+ *  (score desc, slot asc) over referenceDot of the float rows. */
+std::vector<Scored>
+referenceTopK(const SplitSlab &slab, const float *q, std::size_t n,
+              std::size_t k)
+{
+    std::vector<Scored> all;
+    for (std::size_t r = 0; r < slab.size(); ++r)
+        all.push_back({r, referenceDot(q, slab.row(r), n)});
+    std::stable_sort(all.begin(), all.end(),
+                     [](const Scored &a, const Scored &b) {
+                         return a.score > b.score;
+                     });
+    all.resize(std::min(k, all.size()));
+    return all;
+}
+
+/**
+ * Checks bestSplit/topKSplit against the reference under every tier,
+ * and that the filter scores and re-scored slots agree across tiers.
+ * Returns the number of rows bestSplit re-scored.
+ */
+std::size_t
+expectSplitScansExact(const SplitSlab &slab, const Vec &q, std::size_t n,
+                      double normBound = 0.0)
+{
+    const SplitRows rows = slab.rows(normBound);
+    const std::size_t count = slab.size();
+    std::vector<float> filterBase;
+    std::vector<std::size_t> bestBase;
+    std::vector<std::size_t> topBase;
+    bool first = true;
+    for (const Tier tier : availableTiers()) {
+        EXPECT_TRUE(setTier(tier));
+        const std::string where = std::string(tierName(tier)) + " n " +
+            std::to_string(n) + " count " + std::to_string(count);
+
+        std::vector<float> filter(count);
+        filterBatch(q.data(), slab.hi(), slab.stride(), count, n,
+                    filter.data());
+        const double margin = filterMargin(q.data(), n, rows.normBound);
+        for (std::size_t r = 0; r < count && std::isfinite(margin); ++r) {
+            const double exact = referenceDot(q.data(), slab.row(r), n);
+            EXPECT_LE(std::fabs(filter[r] - exact), margin / 2)
+                << where << " row " << r;
+        }
+
+        std::vector<std::size_t> bestRescored;
+        std::size_t slot = 0;
+        double score = 0.0;
+        const bool found =
+            bestSplit(q.data(), rows, &slot, &score, &bestRescored);
+        EXPECT_EQ(found, count > 0) << where;
+        const auto ref1 = referenceTopK(slab, q.data(), n, 1);
+        if (found && !ref1.empty()) {
+            EXPECT_EQ(slot, ref1[0].slot) << where;
+            EXPECT_EQ(score, ref1[0].score) << where;
+        }
+
+        std::vector<std::size_t> topRescored;
+        for (const std::size_t k :
+             {std::size_t{1}, std::size_t{3}, std::size_t{10}, count,
+              count + 2}) {
+            std::vector<std::size_t> *hook = k == 3 ? &topRescored : nullptr;
+            const auto top = topKSplit(q.data(), rows, k, hook);
+            const auto ref = referenceTopK(slab, q.data(), n, k);
+            EXPECT_EQ(top.size(), ref.size()) << where << " k " << k;
+            for (std::size_t i = 0; i < std::min(top.size(), ref.size());
+                 ++i) {
+                EXPECT_EQ(top[i].slot, ref[i].slot)
+                    << where << " k " << k << " rank " << i;
+                EXPECT_EQ(top[i].score, ref[i].score)
+                    << where << " k " << k << " rank " << i;
+            }
+        }
+
+        if (first) {
+            filterBase = filter;
+            bestBase = bestRescored;
+            topBase = topRescored;
+            first = false;
+        } else {
+            for (std::size_t r = 0; r < count; ++r) {
+                EXPECT_EQ(std::memcmp(&filter[r], &filterBase[r],
+                                      sizeof(float)),
+                          0)
+                    << where << " filter row " << r;
+            }
+            EXPECT_EQ(bestRescored, bestBase) << where;
+            EXPECT_EQ(topRescored, topBase) << where;
+        }
+    }
+    return bestBase.size();
+}
+
+Vec
+scaled(Vec v, float s)
+{
+    for (float &x : v)
+        x *= s;
+    return v;
+}
+
+TEST(SplitRows, HalvesRebuildEveryFloatExactly)
+{
+    Rng rng(17);
+    std::vector<float> probes = {0.0f,
+                                 -0.0f,
+                                 1.0f,
+                                 -1.5f,
+                                 std::numeric_limits<float>::min(),
+                                 std::numeric_limits<float>::denorm_min(),
+                                 -3e-40f,
+                                 std::numeric_limits<float>::max()};
+    for (int i = 0; i < 1000; ++i)
+        probes.push_back(static_cast<float>(rng.normal() * 10.0));
+    for (const float x : probes) {
+        const float back = joinHalves(highHalf(x), lowHalf(x));
+        EXPECT_EQ(std::memcmp(&back, &x, sizeof x), 0) << x;
+        // hi alone is x truncated toward zero to 8 significant bits.
+        const float hi = joinHalves(highHalf(x), 0);
+        EXPECT_LE(std::fabs(hi), std::fabs(x));
+        EXPECT_LE(std::fabs(x - hi), std::ldexp(std::fabs(x), -7) + 0x1p-133f);
+    }
+}
+
+TEST(SplitRows, ExactOnEveryDimAndSmallCount)
+{
+    ScopedTier guard;
+    Rng rng(404);
+    std::vector<std::size_t> dims = testDims();
+    dims.push_back(64);
+    for (const std::size_t n : dims) {
+        for (const std::size_t count :
+             {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+              std::size_t{9}, std::size_t{255}, std::size_t{256},
+              std::size_t{257}}) {
+            SplitSlab slab(n);
+            for (std::size_t r = 0; r < count; ++r)
+                slab.push(randomUnitVec(n, rng));
+            const Vec q = randomUnitVec(n, rng);
+            expectSplitScansExact(slab, q, n);
+        }
+    }
+}
+
+TEST(SplitRows, ExactOnAdversarialRows)
+{
+    ScopedTier guard;
+    for (const std::size_t n : {std::size_t{5}, std::size_t{16},
+                                std::size_t{64}, std::size_t{513}}) {
+        Rng rng(n);
+        const Vec base = randomUnitVec(n, rng);
+        const Vec other = randomUnitVec(n, rng);
+        SplitSlab slab(n);
+        for (std::size_t r = 0; r < 300; ++r) {
+            Vec row = base;
+            switch (r % 6) {
+            case 0: {
+                // Same hi plane as `base`, different lo bits: identical
+                // filter scores, distinct exact scores.
+                for (float &x : row) {
+                    const auto lo = static_cast<std::uint16_t>(rng.next());
+                    x = joinHalves(highHalf(x), lo);
+                }
+                break;
+            }
+            case 1: {
+                // A score gap far below the margin.
+                const float eps = static_cast<float>(1e-6 * rng.uniform());
+                for (std::size_t i = 0; i < n; ++i)
+                    row[i] += eps * other[i];
+                break;
+            }
+            case 2:
+                break; // exact duplicate of `base`: earliest slot wins
+            case 3:
+                row.assign(n, 0.0f); // zero row
+                break;
+            case 4:
+                row = scaled(base, static_cast<float>(0.5 + rng.uniform()));
+                break;
+            case 5:
+                // Subnormal components next to normal ones.
+                for (std::size_t i = 0; i < n; i += 2)
+                    row[i] = static_cast<float>(rng.uniform() * 1e-39);
+                break;
+            }
+            slab.push(row);
+        }
+        expectSplitScansExact(slab, base, n);
+        // A stale, larger norm bound (FlatIndex never lowers it on
+        // remove) only widens the margin.
+        expectSplitScansExact(slab, base, n, 4.0);
+        // Non-unit and subnormal queries.
+        expectSplitScansExact(slab, scaled(base, 3.0f), n);
+        expectSplitScansExact(slab, scaled(base, 1e-38f), n);
+    }
+}
+
+TEST(SplitRows, AllZeroRowsTieToTheFirstSlot)
+{
+    ScopedTier guard;
+    constexpr std::size_t kDim = 64;
+    Rng rng(8);
+    SplitSlab slab(kDim);
+    for (std::size_t r = 0; r < 20; ++r)
+        slab.push(Vec(kDim, 0.0f));
+    const Vec q = randomUnitVec(kDim, rng);
+    expectSplitScansExact(slab, q, kDim);
+    std::size_t slot = 99;
+    double score = 1.0;
+    ASSERT_TRUE(bestSplit(q.data(), slab.rows(), &slot, &score));
+    EXPECT_EQ(slot, std::size_t{0});
+    EXPECT_EQ(score, 0.0);
+}
+
+TEST(SplitRows, HugeRowsSkipTheFilterAndStayExact)
+{
+    ScopedTier guard;
+    constexpr std::size_t kDim = 64;
+    Rng rng(9);
+    SplitSlab slab(kDim);
+    for (std::size_t r = 0; r < 40; ++r)
+        slab.push(scaled(randomUnitVec(kDim, rng), 1e30f));
+    const Vec q = randomUnitVec(kDim, rng);
+    // Past |q| * R = 2^100 (~1.3e30) float partial sums could
+    // overflow: no filter margin exists and every row is re-scored.
+    EXPECT_TRUE(std::isinf(filterMargin(q.data(), kDim, 1e31)));
+    const Vec query = scaled(q, 1e10f);
+    EXPECT_EQ(expectSplitScansExact(slab, query, kDim), slab.size());
+}
+
+TEST(SplitRows, FilterRescoresFewRandomRows)
+{
+    // The point of the filter: at the serving shape (64-dim unit rows)
+    // almost every row is ruled out without its lo plane.
+    ScopedTier guard;
+    constexpr std::size_t kDim = 64;
+    Rng rng(10);
+    SplitSlab slab(kDim);
+    for (std::size_t r = 0; r < 4000; ++r)
+        slab.push(randomUnitVec(kDim, rng));
+    const Vec q = randomUnitVec(kDim, rng);
+    const std::size_t rescored = expectSplitScansExact(slab, q, kDim);
+    EXPECT_GE(rescored, std::size_t{1});
+    EXPECT_LT(rescored, slab.size() / 20);
+}
+
 } // namespace
 } // namespace modm::kernels
 
@@ -265,6 +578,9 @@ namespace {
 
 TEST(AlignedRows, StrideRoundsUpToWholeCacheLines)
 {
+    EXPECT_EQ(alignedRowStride<std::uint16_t>(1), std::size_t{32});
+    EXPECT_EQ(alignedRowStride<std::uint16_t>(64), std::size_t{64});
+    EXPECT_EQ(alignedRowStride<std::uint16_t>(513), std::size_t{544});
     EXPECT_EQ(alignedRowStride(1), std::size_t{16});
     EXPECT_EQ(alignedRowStride(16), std::size_t{16});
     EXPECT_EQ(alignedRowStride(17), std::size_t{32});
@@ -276,7 +592,7 @@ TEST(AlignedRows, StrideRoundsUpToWholeCacheLines)
 TEST(AlignedRows, PushBackSwapRemoveAndAlignment)
 {
     constexpr std::size_t kDim = 5; // stride 16: pad floats in play
-    AlignedRows rows(kDim);
+    AlignedRows<float> rows(kDim);
     EXPECT_TRUE(rows.empty());
     EXPECT_EQ(rows.stride(), std::size_t{16});
 
@@ -309,7 +625,7 @@ TEST(AlignedRows, PushBackSwapRemoveAndAlignment)
     EXPECT_EQ(rows.row(0)[0], 11.0f);
 
     // Growth across reallocations preserves contents.
-    AlignedRows grown(kDim);
+    AlignedRows<float> grown(kDim);
     for (std::size_t i = 0; i < 5000; ++i) {
         const float v = static_cast<float>(i);
         const float row[kDim] = {v, v, v, v, v};

@@ -28,12 +28,14 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/cache/image_cache.hh"
+#include "src/common/kernels.hh"
 #include "src/common/rng.hh"
 #include "src/diffusion/sampler.hh"
 #include "src/embedding/hnsw_index.hh"
@@ -128,6 +130,16 @@ class ReferenceIndex
     std::unordered_map<std::uint64_t, std::size_t> slotOf_;
 };
 
+/** `count` random unit directions. */
+std::vector<Vec>
+makeBaseDirections(std::size_t count, std::size_t dim, Rng &rng)
+{
+    std::vector<Vec> bases;
+    for (std::size_t i = 0; i < count; ++i)
+        bases.push_back(randomUnitVec(dim, rng));
+    return bases;
+}
+
 void
 expectSameMatches(const std::vector<Match> &expected,
                   const std::vector<Match> &actual, const char *what)
@@ -180,6 +192,173 @@ TEST(FlatIndexSeam, BitIdenticalWithPreRefactorReference)
         EXPECT_EQ(expectedBest.id, best.id);
         EXPECT_EQ(expectedBest.similarity, best.similarity);
     }
+}
+
+/** Restore the auto-selected kernel tier when a test forced another. */
+class ScopedTier
+{
+  public:
+    ScopedTier() : saved_(kernels::active().tier) {}
+    ~ScopedTier() { kernels::setTier(saved_); }
+
+  private:
+    kernels::Tier saved_;
+};
+
+std::vector<kernels::Tier>
+availableTiers()
+{
+    std::vector<kernels::Tier> tiers;
+    for (const auto tier : {kernels::Tier::Scalar, kernels::Tier::Avx2}) {
+        if (kernels::tierAvailable(tier))
+            tiers.push_back(tier);
+    }
+    return tiers;
+}
+
+/** Every query agrees with the reference under every kernel tier. */
+void
+expectFlatMatchesReference(const ReferenceIndex &reference,
+                           const FlatIndex &flat,
+                           const std::vector<Embedding> &queries)
+{
+    ASSERT_EQ(reference.size(), flat.size());
+    for (const auto tier : availableTiers()) {
+        ASSERT_TRUE(kernels::setTier(tier));
+        for (const auto &query : queries) {
+            const auto expectedBest = reference.best(query);
+            const auto best = flat.best(query);
+            EXPECT_EQ(expectedBest.id, best.id) << kernels::tierName(tier);
+            EXPECT_EQ(expectedBest.similarity, best.similarity)
+                << kernels::tierName(tier);
+            for (const std::size_t k :
+                 {std::size_t{1}, std::size_t{5}, flat.size(),
+                  flat.size() + 3}) {
+                expectSameMatches(reference.topK(query, k),
+                                  flat.topK(query, k),
+                                  kernels::tierName(tier));
+            }
+        }
+    }
+}
+
+/**
+ * Rows built against the two-stage scan's filter: near-ties that
+ * differ in the low halves only, duplicates, zero rows and subnormal
+ * components, around a few base directions the queries also use.
+ */
+Embedding
+adversarialEmbedding(const std::vector<Vec> &bases, std::size_t kind,
+                     Rng &rng)
+{
+    Vec v = bases[rng.uniformInt(bases.size())];
+    switch (kind % 5) {
+    case 0:
+        for (float &x : v) {
+            x = kernels::joinHalves(kernels::highHalf(x),
+                                    static_cast<std::uint16_t>(rng.next()));
+        }
+        break;
+    case 1:
+        break; // a duplicate of its base
+    case 2:
+        v.assign(v.size(), 0.0f);
+        break;
+    case 3:
+        for (std::size_t i = 0; i < v.size(); i += 3)
+            v[i] = static_cast<float>(rng.uniform() * 1e-39);
+        break;
+    case 4:
+        v = jitterUnitVec(v, 1e-4, rng);
+        break;
+    }
+    return Embedding(v);
+}
+
+TEST(FlatIndexSeam, TwoStageScanExactOnAdversarialRowsInEveryTier)
+{
+    ScopedTier guard;
+    constexpr std::size_t kDim = kEmbeddingDim;
+    Rng rng(99);
+    const auto bases = makeBaseDirections(4, kDim, rng);
+    std::vector<Embedding> queries;
+    for (const auto &base : bases)
+        queries.emplace_back(base);
+    queries.emplace_back(randomUnitVec(kDim, rng));
+
+    ReferenceIndex reference(kDim);
+    FlatIndex flat(kDim);
+    std::vector<std::uint64_t> live;
+    for (std::uint64_t id = 0; id < 600; ++id) {
+        const Embedding e = adversarialEmbedding(bases, id, rng);
+        reference.insert(id, e);
+        flat.insert(id, e);
+        live.push_back(id);
+        if (id % 7 == 6) {
+            const std::size_t pick = rng.uniformInt(live.size());
+            reference.remove(live[pick]);
+            ASSERT_TRUE(flat.remove(live[pick]));
+            live[pick] = live.back();
+            live.pop_back();
+        }
+    }
+    expectFlatMatchesReference(reference, flat, queries);
+}
+
+TEST(FlatIndexSeam, NormBoundOutlivesRemoveAndResetsOnClear)
+{
+    ScopedTier guard;
+    constexpr std::size_t kDim = kEmbeddingDim;
+    Rng rng(5);
+    const auto bases = makeBaseDirections(3, kDim, rng);
+    std::vector<Embedding> queries;
+    for (const auto &base : bases)
+        queries.emplace_back(base);
+
+    // Remove the largest-norm row: the bound stays (wider margin), and
+    // the answers stay exact.
+    ReferenceIndex reference(kDim);
+    FlatIndex flat(kDim);
+    std::uint64_t largest = 0;
+    double largestNorm = -1.0;
+    for (std::uint64_t id = 0; id < 200; ++id) {
+        const Embedding e = adversarialEmbedding(bases, id, rng);
+        reference.insert(id, e);
+        flat.insert(id, e);
+        const double n = norm(e.vec());
+        if (n > largestNorm) {
+            largestNorm = n;
+            largest = id;
+        }
+    }
+    reference.remove(largest);
+    ASSERT_TRUE(flat.remove(largest));
+    expectFlatMatchesReference(reference, flat, queries);
+
+    // After clear the bound starts over: all-zero rows tie at 0 and
+    // the earliest wins, then a real row beats them.
+    flat.clear();
+    ReferenceIndex fresh(kDim);
+    const Embedding zero(Vec(kDim, 0.0f));
+    for (std::uint64_t id = 10; id < 20; ++id) {
+        fresh.insert(id, zero);
+        flat.insert(id, zero);
+    }
+    expectFlatMatchesReference(fresh, flat, queries);
+    EXPECT_EQ(flat.best(queries[0]).id, std::uint64_t{10});
+    fresh.insert(30, queries[1]);
+    flat.insert(30, queries[1]);
+    expectFlatMatchesReference(fresh, flat, queries);
+    EXPECT_EQ(flat.best(queries[1]).id, std::uint64_t{30});
+}
+
+TEST(FlatIndexDeathTest, InsertRejectsNonFiniteComponents)
+{
+    // The filter margin assumes finite rows; a NaN must not slip in.
+    FlatIndex flat(4);
+    Vec bad(4, 0.5f);
+    bad[2] = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_DEATH(flat.insert(1, Embedding(bad)), "not finite");
 }
 
 /** Clustered synthetic embeddings: the regime CLIP vectors live in. */
